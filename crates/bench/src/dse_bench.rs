@@ -136,11 +136,11 @@ impl DseBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codesign_core::{pareto_designs, sweep_full_with};
+    use codesign_core::{evaluate_point, pareto_designs, DesignPoint};
 
     /// A thousand-point slice of the headline space: big enough that
     /// branch-and-bound finds the traffic plateau, small enough to
-    /// cross-check against the materializing sweep.
+    /// cross-check against a serial reference sweep.
     fn small_space() -> SweepSpace {
         SweepSpace {
             array_sizes: vec![8, 16],
@@ -161,16 +161,14 @@ mod tests {
         assert!(b.points_per_sec() > 0.0 && b.wall_ms > 0.0);
         assert!(b.peak_frontier >= b.frontier as u64);
 
-        let batch = sweep_full_with(
-            &Simulator::new(),
-            &net,
-            &space,
-            SimOptions::paper_default(),
-            &EnergyModel::default(),
-            0,
-        )
-        .expect("batch sweep runs");
-        let expected = pareto_designs(&batch.points);
+        // Independent reference: a serial, uncached map over the grid.
+        let sim = Simulator::uncached();
+        let (opts, em) = (SimOptions::paper_default(), EnergyModel::default());
+        let batch: Vec<DesignPoint> = space
+            .grid()
+            .filter_map(|params| evaluate_point(&sim, &net, params, opts, &em).ok().flatten())
+            .collect();
+        let expected = pareto_designs(&batch);
         assert_eq!(b.frontier, expected.len(), "pruning changed the frontier");
     }
 }

@@ -164,3 +164,42 @@ fn pruned_sweep_reports_the_same_frontier_as_unpruned() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn resume_ignores_a_checkpoint_of_a_same_named_network_with_other_shapes() {
+    let (dir, _) = scratch("fingerprint");
+    let narrow = dir.join("narrow.net");
+    let wide = dir.join("wide.net");
+    fs::write(&narrow, "network fpnet 3x32x32\nconv c1 16 3 s1 p1\nconv c2 32 3 s1 p1\n")
+        .expect("narrow model writes");
+    fs::write(&wide, "network fpnet 3x32x32\nconv c1 64 3 s1 p1\nconv c2 128 3 s1 p1\n")
+        .expect("wide model writes");
+    let base = dir.join("sweep.ck");
+    let base = base.to_str().expect("utf-8 base");
+    let sweep = |model: &Path, extra: &[&str]| {
+        codesign()
+            .args(["sweep", model.to_str().expect("utf-8 path"), "--frontier"])
+            .args(["--arrays", "8,16", "--rfs", "8", "--buffers-kib", "64,128"])
+            .args(extra)
+            .output()
+            .expect("sweep runs")
+    };
+
+    // Same name, same layer count, different layer shapes: the narrow
+    // network's checkpoint must not be mistaken for the wide one's.
+    let first = sweep(&narrow, &["--checkpoint", base]);
+    assert!(first.status.success(), "checkpointed sweep failed: {}", stderr(&first));
+    let reference = sweep(&wide, &[]);
+    assert!(reference.status.success(), "reference failed: {}", stderr(&reference));
+    let resumed = sweep(&wide, &["--checkpoint", base, "--resume"]);
+    assert!(resumed.status.success(), "resume failed: {}", stderr(&resumed));
+    assert!(
+        !stderr(&resumed).contains("resumed"),
+        "resumed a foreign checkpoint:\n{}",
+        stderr(&resumed)
+    );
+    assert_eq!(stdout(&resumed), stdout(&reference), "report is not the wide network's");
+    assert_ne!(stdout(&resumed), stdout(&first), "narrow and wide reports must differ");
+
+    let _ = fs::remove_dir_all(&dir);
+}

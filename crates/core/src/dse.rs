@@ -6,7 +6,7 @@ use std::fmt;
 
 use codesign_arch::{area, AcceleratorConfig, AreaModel, DataflowPolicy, EnergyModel};
 use codesign_dnn::Network;
-use codesign_sim::{par_map_catch_range, CancelToken, SimError, SimOptions, Simulator};
+use codesign_sim::{SimError, SimOptions, Simulator};
 
 /// The swept hardware parameters of one design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,12 +184,13 @@ impl SweepSpace {
     }
 }
 
-/// Evaluates one grid point. `Ok(None)` when the configuration is
+/// Evaluates one grid point on the hybrid architecture — the unit of
+/// work every sweep fans out. `Ok(None)` when the configuration is
 /// invalid (e.g. a buffer too small for the array) or the evaluation
-/// degenerates — skipped, exactly as before; `Err` when the simulator
-/// rejects the point with a typed error — reported as a
+/// degenerates — the sweep skips it; `Err` when the simulator rejects
+/// the point with a typed error — the sweep reports it as a
 /// [`PointFailure`] diagnostic.
-pub(crate) fn evaluate_point(
+pub fn evaluate_point(
     sim: &Simulator,
     network: &Network,
     params: DesignParams,
@@ -266,227 +267,6 @@ impl SweepOutcome {
             listed.join("; ")
         )
     }
-}
-
-/// Evaluates every design point in `space` for `network` on the hybrid
-/// architecture, fanning out across `jobs` worker threads (`0` = one per
-/// core) through the shared `sim` handle. Invalid or degenerate
-/// configurations are skipped; the result order is the deterministic
-/// grid order regardless of `jobs`.
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty — an empty
-/// space is a caller bug (a misconfigured sweep silently producing zero
-/// points is indistinguishable from "every config was invalid").
-pub fn sweep_with(
-    sim: &Simulator,
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-    jobs: usize,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    Ok(sweep_full_with(sim, network, space, opts, energy_model, jobs)?.points)
-}
-
-/// Degradation-tolerant variant of [`sweep_with`]: evaluates every grid
-/// point with per-point isolation (typed simulation errors *and* worker
-/// panics are caught per point), so the sweep completes with partial
-/// results plus one diagnostic per failed point instead of aborting.
-/// Results and diagnostics are in deterministic grid order — bit
-/// identical across `jobs` settings.
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty.
-pub fn sweep_full_with(
-    sim: &Simulator,
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-    jobs: usize,
-) -> Result<SweepOutcome, SweepError> {
-    // One chunk covering the whole grid, no observer: the batch sweep is
-    // the streaming sweep with nobody watching.
-    sweep_streaming_with(sim, network, space, opts, energy_model, jobs, usize::MAX, |_| {})
-}
-
-/// One completed evaluation of a streaming sweep, delivered to the
-/// observer in deterministic grid order (chunk by chunk).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepEvent<'a> {
-    /// The grid point at flat index `index` evaluated successfully.
-    Point {
-        /// Flat grid index (row-major, see [`SweepSpace::point`]).
-        index: usize,
-        /// The evaluated design point.
-        point: &'a DesignPoint,
-    },
-    /// The grid point was invalid or degenerate and was skipped.
-    Skipped {
-        /// Flat grid index.
-        index: usize,
-        /// The skipped parameters.
-        params: DesignParams,
-    },
-    /// The grid point failed with a diagnostic.
-    Failure {
-        /// Flat grid index.
-        index: usize,
-        /// The per-point diagnostic.
-        failure: &'a PointFailure,
-    },
-}
-
-/// [`sweep_full_with`] with partial-result streaming: the grid is
-/// evaluated in chunks of `chunk` points (still `jobs`-wide inside each
-/// chunk), and after each chunk completes `on_event` observes every
-/// point of that chunk in deterministic grid order. `codesign serve`
-/// sits Pareto-frontier delta streaming on top of this; smaller chunks
-/// trade a little fan-out efficiency for earlier partial results.
-///
-/// The returned outcome is bit-identical to [`sweep_full_with`] on the
-/// same inputs, whatever `chunk` or `jobs` — chunking changes only
-/// *when* results become observable, never what they are.
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_streaming_with(
-    sim: &Simulator,
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-    jobs: usize,
-    chunk: usize,
-    on_event: impl FnMut(SweepEvent<'_>),
-) -> Result<SweepOutcome, SweepError> {
-    sweep_streaming_cancellable_with(
-        sim,
-        network,
-        space,
-        opts,
-        energy_model,
-        jobs,
-        chunk,
-        &CancelToken::never(),
-        on_event,
-    )
-}
-
-/// [`sweep_streaming_with`] with cooperative cancellation: `cancel` is
-/// polled once per chunk, *between* chunks, so every chunk that starts
-/// also finishes and fires its events. When the token fires the sweep
-/// stops with [`SweepError::Cancelled`] — and because chunks complete
-/// atomically in deterministic grid order, the events delivered before
-/// the cancellation are **bit-identical to a prefix** of the uncancelled
-/// run's event stream, whatever `jobs` is.
-///
-/// A token that is already cancelled on entry yields zero events (the
-/// empty prefix).
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty (checked
-/// before the token, so an empty space is always reported as such);
-/// [`SweepError::Cancelled`] when `cancel` fires before the last chunk.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_streaming_cancellable_with(
-    sim: &Simulator,
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-    jobs: usize,
-    chunk: usize,
-    cancel: &CancelToken,
-    mut on_event: impl FnMut(SweepEvent<'_>),
-) -> Result<SweepOutcome, SweepError> {
-    space.check_non_empty()?;
-    let len = space.len();
-    let chunk = chunk.max(1);
-    let mut points = Vec::new();
-    let mut failures = Vec::new();
-    let mut start = 0usize;
-    while start < len {
-        if cancel.is_cancelled() {
-            return Err(SweepError::Cancelled);
-        }
-        let count = chunk.min(len - start);
-        // Range-based fan-out: workers decode grid points from their
-        // flat index, so the grid is never materialized ahead of the
-        // sweep.
-        let evals = par_map_catch_range(jobs, count, |j| {
-            let i = start + j;
-            // Test-only fault injection: a magic network name poisons the
-            // worker evaluating grid point 0, proving a panicking worker
-            // degrades to a `PointFailure` instead of hanging the pool.
-            #[cfg(test)]
-            #[allow(clippy::panic)]
-            if network.name() == "__poison_point_0__" && i == 0 {
-                panic!("injected worker poison");
-            }
-            match space.point(i) {
-                Some(params) => evaluate_point(sim, network, params, opts, energy_model),
-                // Unreachable once `check_non_empty` passed: every
-                // i < len() decodes. Treated as a skipped point rather
-                // than a panic.
-                None => Ok(None),
-            }
-        });
-        for (j, eval) in evals.into_iter().enumerate() {
-            let i = start + j;
-            let Some(params) = space.point(i) else { continue };
-            match eval {
-                Ok(Ok(Some(point))) => {
-                    points.push(point);
-                    if let Some(point) = points.last() {
-                        on_event(SweepEvent::Point { index: i, point });
-                    }
-                }
-                // Invalid or degenerate config: skipped from the
-                // outcome, but still observable as an event.
-                Ok(Ok(None)) => on_event(SweepEvent::Skipped { index: i, params }),
-                Ok(Err(e)) => {
-                    failures.push(PointFailure { params, reason: e.to_string() });
-                    if let Some(failure) = failures.last() {
-                        on_event(SweepEvent::Failure { index: i, failure });
-                    }
-                }
-                Err(panic_msg) => {
-                    failures.push(PointFailure {
-                        params,
-                        reason: format!("worker panicked: {panic_msg}"),
-                    });
-                    if let Some(failure) = failures.last() {
-                        on_event(SweepEvent::Failure { index: i, failure });
-                    }
-                }
-            }
-        }
-        start += count;
-    }
-    Ok(SweepOutcome { points, failures })
-}
-
-/// Evaluates every design point in `space` for `network` on the hybrid
-/// architecture with a fresh memoizing [`Simulator`] and one worker per
-/// core. See [`sweep_with`].
-///
-/// # Errors
-///
-/// [`SweepError::EmptySpace`] when any sweep axis is empty.
-pub fn sweep(
-    network: &Network,
-    space: &SweepSpace,
-    opts: SimOptions,
-    energy_model: &EnergyModel,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    sweep_with(&Simulator::new(), network, space, opts, energy_model, 0)
 }
 
 /// The design point with the lowest energy-delay product.
@@ -739,7 +519,15 @@ pub fn rf_tuneup_effect(network: &Network, opts: SimOptions) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::sweep_full_with;
     use codesign_dnn::zoo;
+
+    /// Every evaluated point of a default-options sweep with a fresh
+    /// simulator.
+    fn sweep(network: &Network, space: &SweepSpace) -> Result<Vec<DesignPoint>, SweepError> {
+        let (opts, em) = (SimOptions::default(), EnergyModel::default());
+        Ok(sweep_full_with(&Simulator::new(), network, space, opts, &em, 0)?.points)
+    }
 
     #[test]
     fn sweep_covers_the_grid() {
@@ -748,9 +536,7 @@ mod tests {
             rf_depths: vec![8],
             buffer_bytes: vec![64 * 1024],
         };
-        let pts =
-            sweep(&zoo::squeezenet_v1_1(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep(&zoo::squeezenet_v1_1(), &space).unwrap();
         assert_eq!(pts.len(), 2);
         assert!(pts.iter().all(|p| p.cycles > 0 && p.energy > 0.0));
     }
@@ -762,9 +548,7 @@ mod tests {
             rf_depths: vec![16],
             buffer_bytes: vec![128 * 1024],
         };
-        let pts =
-            sweep(&zoo::squeezenet_v1_0(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep(&zoo::squeezenet_v1_0(), &space).unwrap();
         let n8 = pts.iter().find(|p| p.params.array_size == 8).unwrap();
         let n32 = pts.iter().find(|p| p.params.array_size == 32).unwrap();
         assert!(n32.cycles < n8.cycles);
@@ -787,9 +571,7 @@ mod tests {
             rf_depths: vec![8, 16],
             buffer_bytes: vec![128 * 1024],
         };
-        let pts =
-            sweep(&zoo::tiny_darknet(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep(&zoo::tiny_darknet(), &space).unwrap();
         let best = best_by_energy_delay(&pts).unwrap();
         for p in &pts {
             assert!(best.energy_delay() <= p.energy_delay());
@@ -803,9 +585,7 @@ mod tests {
             rf_depths: vec![8, 16],
             buffer_bytes: vec![128 * 1024],
         };
-        let pts =
-            sweep(&zoo::squeezenet_v1_1(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep(&zoo::squeezenet_v1_1(), &space).unwrap();
         let front = pareto_designs(&pts);
         assert!(!front.is_empty() && front.len() <= pts.len());
         // No front point dominates another front point.
@@ -831,9 +611,7 @@ mod tests {
             rf_depths: vec![8],
             buffer_bytes: vec![1024], // too small for a 64x64 array
         };
-        let pts =
-            sweep(&zoo::tiny_darknet(), &space, SimOptions::default(), &EnergyModel::default())
-                .unwrap();
+        let pts = sweep(&zoo::tiny_darknet(), &space).unwrap();
         assert!(pts.is_empty());
         assert!(best_by_energy_delay(&pts).is_none());
     }
@@ -848,9 +626,7 @@ mod tests {
                 _ => space.buffer_bytes.clear(),
             }
             assert!(space.is_empty());
-            let err =
-                sweep(&zoo::tiny_darknet(), &space, SimOptions::default(), &EnergyModel::default())
-                    .unwrap_err();
+            let err = sweep(&zoo::tiny_darknet(), &space).unwrap_err();
             assert_eq!(err, SweepError::EmptySpace(axis));
             assert!(err.to_string().contains(axis));
         }
@@ -931,7 +707,7 @@ mod tests {
         let run = |jobs: usize| {
             let tracer = Tracer::enabled();
             let sim = Simulator::new().with_tracer(tracer.clone());
-            sweep_with(&sim, &net, &space, opts, &em, jobs).unwrap();
+            sweep_full_with(&sim, &net, &space, opts, &em, jobs).unwrap();
             MetricsSnapshot::of(&tracer.snapshot())
         };
         let serial = run(1);
@@ -970,8 +746,8 @@ mod tests {
         assert_eq!(failure.params.global_buffer_bytes, 256);
         assert!(failure.reason.contains("infeasible tiling"), "{}", failure.reason);
         assert!(outcome.failure_summary().contains("1 of 3 points failed"));
-        // The tolerant path and the plain path agree on the survivors.
-        let plain = sweep_with(
+        // A serial run agrees on the survivors and the diagnostic.
+        let serial = sweep_full_with(
             &Simulator::new(),
             &net,
             &space,
@@ -980,7 +756,7 @@ mod tests {
             1,
         )
         .unwrap();
-        assert_eq!(outcome.points, plain);
+        assert_eq!(outcome, serial);
     }
 
     #[test]
@@ -1009,43 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_worker_degrades_to_point_failure() {
-        // A worker panic mid-sweep must neither hang the persistent pool
-        // nor abort the sweep: the poisoned point surfaces as a
-        // diagnostic and every other point still evaluates.
-        use codesign_dnn::{NetworkBuilder, Shape};
-        let net = NetworkBuilder::new("__poison_point_0__", Shape::new(16, 16, 16))
-            .conv("c1", 16, 3, 1, 1)
-            .finish()
-            .unwrap();
-        let space = SweepSpace {
-            array_sizes: vec![8, 16],
-            rf_depths: vec![16],
-            buffer_bytes: vec![64 * 1024, 128 * 1024],
-        };
-        for jobs in [1, 2, 8] {
-            let outcome = sweep_full_with(
-                &Simulator::new(),
-                &net,
-                &space,
-                SimOptions::default(),
-                &EnergyModel::default(),
-                jobs,
-            )
-            .unwrap();
-            assert_eq!(outcome.points.len(), 3, "jobs={jobs}");
-            assert_eq!(outcome.failures.len(), 1, "jobs={jobs}");
-            let failure = &outcome.failures[0];
-            assert_eq!(Some(failure.params), space.point(0));
-            assert!(
-                failure.reason.contains("worker panicked: injected worker poison"),
-                "{}",
-                failure.reason
-            );
-        }
-    }
-
-    #[test]
     fn sweep_is_jobs_invariant() {
         // The pool contract across the user-facing --jobs range: 1, 2,
         // and 8 workers produce bit-identical outcomes.
@@ -1067,172 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sweep_is_chunk_and_jobs_invariant() {
-        // Chunking changes when results become observable, never what
-        // they are: every (chunk, jobs) combination reproduces the batch
-        // outcome bit-for-bit and fires exactly one event per grid
-        // point, in grid order — including a failure event for the
-        // infeasible 256-byte-buffer point.
-        let space = SweepSpace {
-            array_sizes: vec![8, 16],
-            rf_depths: vec![16],
-            buffer_bytes: vec![256, 64 * 1024, 128 * 1024],
-        };
-        let net = zoo::tiny_darknet();
-        let opts = SimOptions::default();
-        let em = EnergyModel::default();
-        let batch =
-            sweep_full_with(&Simulator::new(), &net, &space, opts, &EnergyModel::default(), 1)
-                .unwrap();
-        assert!(!batch.failures.is_empty(), "space includes an infeasible point");
-        for chunk in [0usize, 1, 3, usize::MAX] {
-            for jobs in [1usize, 4] {
-                let mut indices = Vec::new();
-                let mut seen_points = Vec::new();
-                let mut seen_failures = Vec::new();
-                let outcome = sweep_streaming_with(
-                    &Simulator::new(),
-                    &net,
-                    &space,
-                    opts,
-                    &em,
-                    jobs,
-                    chunk,
-                    |event| match event {
-                        SweepEvent::Point { index, point } => {
-                            indices.push(index);
-                            seen_points.push(point.clone());
-                        }
-                        SweepEvent::Skipped { index, .. } => indices.push(index),
-                        SweepEvent::Failure { index, failure } => {
-                            indices.push(index);
-                            seen_failures.push(failure.clone());
-                        }
-                    },
-                )
-                .unwrap();
-                assert_eq!(outcome, batch, "chunk={chunk} jobs={jobs}");
-                assert_eq!(
-                    indices,
-                    (0..space.len()).collect::<Vec<_>>(),
-                    "one event per grid point, in grid order (chunk={chunk} jobs={jobs})"
-                );
-                assert_eq!(seen_points, outcome.points);
-                assert_eq!(seen_failures, outcome.failures);
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_token_on_entry_yields_the_empty_prefix() {
-        let mut fired = 0usize;
-        let token = CancelToken::never();
-        token.cancel();
-        let err = sweep_streaming_cancellable_with(
-            &Simulator::new(),
-            &zoo::tiny_darknet(),
-            &SweepSpace::paper_default(),
-            SimOptions::default(),
-            &EnergyModel::default(),
-            1,
-            1,
-            &token,
-            |_| fired += 1,
-        )
-        .unwrap_err();
-        assert_eq!(err, SweepError::Cancelled);
-        assert_eq!(fired, 0);
-    }
-
-    #[test]
-    fn cancel_mid_sweep_delivers_a_prefix_of_the_full_run() {
-        // The tentpole determinism guarantee: whatever chunk size, jobs
-        // count, and cancel point, the events delivered before the token
-        // fires are bit-identical to a prefix of the uncancelled run's
-        // event stream.
-        let space = SweepSpace {
-            array_sizes: vec![8, 16],
-            rf_depths: vec![16],
-            buffer_bytes: vec![256, 64 * 1024, 128 * 1024],
-        };
-        let net = zoo::tiny_darknet();
-        let opts = SimOptions::default();
-        let em = EnergyModel::default();
-        let describe = |event: &SweepEvent<'_>| match event {
-            SweepEvent::Point { index, point } => format!("{index}:point:{point:?}"),
-            SweepEvent::Skipped { index, params } => format!("{index}:skip:{params}"),
-            SweepEvent::Failure { index, failure } => format!("{index}:fail:{failure}"),
-        };
-        let mut full = Vec::new();
-        sweep_full_with(&Simulator::new(), &net, &space, opts, &em, 1).unwrap();
-        sweep_streaming_with(&Simulator::new(), &net, &space, opts, &em, 1, 1, |e| {
-            full.push(describe(&e))
-        })
-        .unwrap();
-        assert_eq!(full.len(), space.len());
-        for chunk in [1usize, 2, 4] {
-            for jobs in [1usize, 4] {
-                for cancel_after in [1usize, 2, 5] {
-                    let token = CancelToken::never();
-                    let mut delivered = Vec::new();
-                    let result = sweep_streaming_cancellable_with(
-                        &Simulator::new(),
-                        &net,
-                        &space,
-                        opts,
-                        &em,
-                        jobs,
-                        chunk,
-                        &token,
-                        |e| {
-                            delivered.push(describe(&e));
-                            if delivered.len() >= cancel_after {
-                                token.cancel();
-                            }
-                        },
-                    );
-                    let tag = format!("chunk={chunk} jobs={jobs} cancel_after={cancel_after}");
-                    assert_eq!(
-                        delivered,
-                        full[..delivered.len()],
-                        "delivered events are a prefix ({tag})"
-                    );
-                    if delivered.len() < full.len() {
-                        assert_eq!(result.unwrap_err(), SweepError::Cancelled, "{tag}");
-                        // The whole current chunk completed before the
-                        // between-chunk poll noticed the cancel.
-                        assert_eq!(delivered.len() % chunk, 0, "{tag}");
-                    } else {
-                        // Cancel fired during the final chunk: the sweep
-                        // was already complete.
-                        assert!(result.is_ok(), "{tag}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_sweep_rejects_empty_spaces_before_any_event() {
-        let mut space = SweepSpace::paper_default();
-        space.rf_depths.clear();
-        let mut fired = 0usize;
-        let err = sweep_streaming_with(
-            &Simulator::new(),
-            &zoo::tiny_darknet(),
-            &space,
-            SimOptions::default(),
-            &EnergyModel::default(),
-            1,
-            1,
-            |_| fired += 1,
-        )
-        .unwrap_err();
-        assert_eq!(err, SweepError::EmptySpace("rf-depth"));
-        assert_eq!(fired, 0, "no events before validation");
-    }
-
-    #[test]
     fn parallel_cached_sweep_matches_serial_uncached() {
         // The tentpole contract: `jobs` and the cache change wall-time,
         // never results or order.
@@ -1244,8 +817,8 @@ mod tests {
         let net = zoo::squeezenet_v1_1();
         let opts = SimOptions::default();
         let em = EnergyModel::default();
-        let serial = sweep_with(&Simulator::uncached(), &net, &space, opts, &em, 1).unwrap();
-        let parallel = sweep_with(&Simulator::new(), &net, &space, opts, &em, 4).unwrap();
+        let serial = sweep_full_with(&Simulator::uncached(), &net, &space, opts, &em, 1).unwrap();
+        let parallel = sweep_full_with(&Simulator::new(), &net, &space, opts, &em, 4).unwrap();
         assert_eq!(serial, parallel);
     }
 }

@@ -8,6 +8,11 @@
 //! (Figure 4), and the per-layer-class dataflow advantage ranges
 //! (§4.1.1).
 //!
+//! Every design-space sweep runs through one engine in [`stream`]:
+//! [`sweep_frontier_with`] streams the Pareto frontier in bounded memory
+//! (with optional pruning and checkpoint/resume), and [`sweep_full_with`]
+//! runs the same loop keeping every evaluated point.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,9 +51,8 @@ pub use codesign::{
     evaluate_variant, evaluate_variant_with, CodesignStudy, ModelTransform, VariantResult,
 };
 pub use dse::{
-    best_by_energy_delay, pareto_designs, rf_tuneup_effect, sweep, sweep_full_with,
-    sweep_streaming_cancellable_with, sweep_streaming_with, sweep_with, DesignParams, DesignPoint,
-    OnlineFrontier, PointFailure, SweepError, SweepEvent, SweepOutcome, SweepSpace,
+    best_by_energy_delay, evaluate_point, pareto_designs, rf_tuneup_effect, DesignParams,
+    DesignPoint, OnlineFrontier, PointFailure, SweepError, SweepOutcome, SweepSpace,
 };
 pub use evaluate::{
     compare_all, compare_networks, compare_networks_with, ArchitectureComparison, RelativeResult,
@@ -63,6 +67,6 @@ pub use schedule::{
 };
 pub use select::{select_model, Constraints};
 pub use stream::{
-    sweep_frontier_with, CheckpointConfig, FrontierConfig, FrontierEvent, FrontierOutcome,
-    SweepCounters,
+    sweep_frontier_with, sweep_full_with, CheckpointConfig, FrontierConfig, FrontierEvent,
+    FrontierOutcome, SweepCounters,
 };

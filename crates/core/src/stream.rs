@@ -1,15 +1,17 @@
-//! Bounded-memory streaming sweeps: online Pareto pruning, dominance
-//! branch-and-bound, and crash-safe checkpoint/resume.
+//! The one sweep engine: bounded-memory streaming sweeps with online
+//! Pareto pruning, dominance branch-and-bound, and crash-safe
+//! checkpoint/resume — and, through the same loop, the collect-all
+//! batch sweep.
 //!
-//! [`sweep_streaming_cancellable_with`](crate::dse::sweep_streaming_cancellable_with)
-//! still accumulates every evaluated point, so a 10M-point sweep holds
-//! 10M [`DesignPoint`]s before the Pareto filter ever runs. The
-//! [`sweep_frontier_with`] pipeline in this module never does: grid
-//! points are decoded from their flat index chunk by chunk, each
-//! evaluated point is offered to an [`OnlineFrontier`] that retains only
-//! the live Pareto set, and everything else is dropped on the spot.
-//! Peak memory is `O(frontier + chunk + retained failures)` regardless
-//! of the space's size.
+//! [`sweep_frontier_with`] never materializes the grid: points are
+//! decoded from their flat index chunk by chunk, each evaluated point
+//! is offered to an [`OnlineFrontier`] that retains only the live
+//! Pareto set, and everything else is dropped on the spot. Peak memory
+//! is `O(frontier + chunk + retained failures)` regardless of the
+//! space's size. [`sweep_full_with`] runs the same engine with pruning
+//! off, one whole-grid chunk, and unlimited failure retention, and
+//! additionally keeps every evaluated point — the classic
+//! collect-then-filter sweep for spaces small enough to hold.
 //!
 //! Three cooperating mechanisms:
 //!
@@ -43,12 +45,12 @@ use std::path::PathBuf;
 
 use codesign_arch::{area, AcceleratorConfig, AreaModel, EnergyModel};
 use codesign_dnn::Network;
-use codesign_sim::{par_map_catch_range, CancelToken, SimOptions, Simulator};
+use codesign_sim::{par_map_catch_range, CancelToken, SimError, SimOptions, Simulator};
 
 use crate::checkpoint::{self, CheckpointState};
 use crate::dse::{
     best_by_energy_delay, evaluate_point, DesignParams, DesignPoint, OnlineFrontier, PointFailure,
-    SweepError, SweepSpace,
+    SweepError, SweepOutcome, SweepSpace,
 };
 
 /// Where and how often a streaming sweep checkpoints.
@@ -69,9 +71,10 @@ pub struct FrontierConfig {
     /// Worker count for point evaluation (0 = one per core). The result
     /// is jobs-invariant.
     pub jobs: usize,
-    /// Evaluation chunk size: segments at most this large are evaluated
-    /// directly; larger ones are prune-tested and bisected. Also bounds
-    /// the in-flight evaluation memory. Clamped to at least 1.
+    /// Evaluation chunk size: the grid is evaluated in leaves of at most
+    /// this many points (with pruning, larger buffer-run segments are
+    /// prune-tested and bisected first). Also bounds the in-flight
+    /// evaluation memory. Clamped to at least 1.
     pub chunk: usize,
     /// Enable dominance branch-and-bound over buffer-axis segments. The
     /// final frontier is bit-identical either way; pruning only skips
@@ -183,8 +186,8 @@ pub struct FrontierOutcome {
 
 /// Identity of a sweep for checkpoint compatibility: a resume is only
 /// accepted against a checkpoint written by a sweep with the same
-/// network shape, space, simulation options, energy model, and prune
-/// setting.
+/// network (input shape and every layer's operation and shapes),
+/// space, simulation options, energy model, and prune setting.
 fn sweep_fingerprint(
     network: &Network,
     space: &SweepSpace,
@@ -193,9 +196,10 @@ fn sweep_fingerprint(
     prune: bool,
 ) -> u64 {
     let canonical = format!(
-        "net={};layers={};arrays={:?};rfs={:?};buffers={:?};opts={:?};energy={:?};prune={}",
+        "net={};input={:?};layers={:?};arrays={:?};rfs={:?};buffers={:?};opts={:?};energy={:?};prune={}",
         network.name(),
-        network.layers().len(),
+        network.input(),
+        network.layers(),
         space.array_sizes,
         space.rf_depths,
         space.buffer_bytes,
@@ -215,12 +219,23 @@ struct CkptRuntime {
     last_pos: u64,
 }
 
+/// Evaluates one grid point; [`evaluate_point`] everywhere outside this
+/// module's fault-injection tests.
+type PointEval = fn(
+    &Simulator,
+    &Network,
+    DesignParams,
+    SimOptions,
+    &EnergyModel,
+) -> Result<Option<DesignPoint>, SimError>;
+
 struct Engine<'a> {
     sim: &'a Simulator,
     network: &'a Network,
     space: &'a SweepSpace,
     opts: SimOptions,
     energy_model: &'a EnergyModel,
+    eval: PointEval,
     jobs: usize,
     chunk: usize,
     prune: bool,
@@ -230,15 +245,55 @@ struct Engine<'a> {
     failures: Vec<PointFailure>,
     counters: SweepCounters,
     ckpt: Option<CkptRuntime>,
+    /// Collect-all sink for [`sweep_full_with`]: when set, every
+    /// evaluated point is also kept here, in grid order.
+    points: Option<Vec<DesignPoint>>,
 }
 
 type EventSink<'s> = dyn FnMut(FrontierEvent<'_>) + 's;
 
-impl Engine<'_> {
-    /// Processes `[pos, len)` one buffer run at a time. Each run is a
-    /// contiguous block of grid indices sharing (array size, RF depth),
-    /// within which only the buffer axis varies — the shape the
-    /// branch-and-bound's monotone bounds are stated over.
+impl<'a> Engine<'a> {
+    /// A fresh engine for `space` (no progress, no checkpointing).
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::EmptySpace`] when any sweep axis is empty.
+    fn new(
+        sim: &'a Simulator,
+        network: &'a Network,
+        space: &'a SweepSpace,
+        opts: SimOptions,
+        energy_model: &'a EnergyModel,
+        config: &FrontierConfig,
+        cancel: &'a CancelToken,
+    ) -> Result<Self, SweepError> {
+        space.check_non_empty()?;
+        Ok(Self {
+            sim,
+            network,
+            space,
+            opts,
+            energy_model,
+            eval: evaluate_point,
+            jobs: config.jobs,
+            chunk: config.chunk.max(1),
+            prune: config.prune,
+            max_failures: config.max_failures,
+            cancel,
+            frontier: OnlineFrontier::new(),
+            failures: Vec::new(),
+            counters: SweepCounters { total: space.len() as u64, ..SweepCounters::default() },
+            ckpt: None,
+            points: None,
+        })
+    }
+
+    /// Processes `[pos, len)`. With pruning on, the walk goes one buffer
+    /// run at a time: each run is a contiguous block of grid indices
+    /// sharing (array size, RF depth), within which only the buffer axis
+    /// varies — the shape the branch-and-bound's monotone bounds are
+    /// stated over. Without pruning, it goes `chunk` points at a time,
+    /// so a whole-grid chunk fans out in one parallel map.
     fn run(
         &mut self,
         mut pos: usize,
@@ -247,16 +302,28 @@ impl Engine<'_> {
     ) -> Result<(), SweepError> {
         let nbuf = self.space.buffer_bytes.len();
         while pos < len {
-            let run_end = len.min(pos - pos % nbuf + nbuf);
-            self.segment(pos, run_end, on_event)?;
-            pos = run_end;
+            let end = if self.prune {
+                len.min(pos - pos % nbuf + nbuf)
+            } else {
+                len.min(pos.saturating_add(self.chunk))
+            };
+            self.segment(pos, end, on_event)?;
+            pos = end;
         }
         Ok(())
     }
 
+    /// Runs the whole grid with the collect-all sink and returns every
+    /// evaluated point plus every diagnostic, in grid order.
+    fn collect_all(mut self) -> Result<SweepOutcome, SweepError> {
+        self.points = Some(Vec::new());
+        self.run(0, self.space.len(), &mut |_| {})?;
+        Ok(SweepOutcome { points: self.points.unwrap_or_default(), failures: self.failures })
+    }
+
     /// Recursively processes the grid-index segment `[lo, hi)` (within
-    /// one buffer run): prune-test oversized segments, bisect on
-    /// failure, evaluate chunk-sized leaves. Left halves complete before
+    /// one buffer run when pruning): prune-test oversized segments,
+    /// bisect on failure, evaluate chunk-sized leaves. Left halves complete before
     /// right halves, so progress is always a contiguous prefix and
     /// events fire in strictly ascending grid order.
     fn segment(
@@ -306,7 +373,7 @@ impl Engine<'_> {
         let Some(base) = self.space.point(lo) else { return false };
         let witness = DesignParams { global_buffer_bytes: buf_hi, ..base };
         let Ok(Some(w)) =
-            evaluate_point(self.sim, self.network, witness, self.opts, self.energy_model)
+            (self.eval)(self.sim, self.network, witness, self.opts, self.energy_model)
         else {
             return false;
         };
@@ -343,9 +410,9 @@ impl Engine<'_> {
     /// and diagnostics.
     fn leaf(&mut self, lo: usize, hi: usize, on_event: &mut EventSink<'_>) {
         let (sim, network, space) = (self.sim, self.network, self.space);
-        let (opts, energy_model) = (self.opts, self.energy_model);
+        let (opts, energy_model, eval) = (self.opts, self.energy_model, self.eval);
         let evals = par_map_catch_range(self.jobs, hi - lo, |j| match space.point(lo + j) {
-            Some(params) => evaluate_point(sim, network, params, opts, energy_model),
+            Some(params) => eval(sim, network, params, opts, energy_model),
             // Unreachable once `check_non_empty` passed; treated as a
             // skipped point rather than a panic.
             None => Ok(None),
@@ -358,6 +425,9 @@ impl Engine<'_> {
                     self.counters.evaluated += 1;
                     if self.frontier.insert(&point) {
                         on_event(FrontierEvent::Entered { index: i, point: &point });
+                    }
+                    if let Some(points) = &mut self.points {
+                        points.push(point);
                     }
                 }
                 Ok(Ok(None)) => self.counters.skipped += 1,
@@ -469,24 +539,8 @@ pub fn sweep_frontier_with(
     cancel: &CancelToken,
     mut on_event: impl FnMut(FrontierEvent<'_>),
 ) -> Result<FrontierOutcome, SweepError> {
-    space.check_non_empty()?;
+    let mut engine = Engine::new(sim, network, space, opts, energy_model, config, cancel)?;
     let len = space.len();
-    let mut engine = Engine {
-        sim,
-        network,
-        space,
-        opts,
-        energy_model,
-        jobs: config.jobs,
-        chunk: config.chunk.max(1),
-        prune: config.prune,
-        max_failures: config.max_failures,
-        cancel,
-        frontier: OnlineFrontier::new(),
-        failures: Vec::new(),
-        counters: SweepCounters { total: len as u64, ..SweepCounters::default() },
-        ckpt: None,
-    };
     let mut start_pos = 0usize;
     if let Some(ckcfg) = &config.checkpoint {
         let fingerprint = sweep_fingerprint(network, space, opts, energy_model, config.prune);
@@ -519,10 +573,44 @@ pub fn sweep_frontier_with(
     Ok(engine.into_outcome())
 }
 
+/// Evaluates every design point in `space` for `network` on the hybrid
+/// architecture and keeps them all: the engine behind
+/// [`sweep_frontier_with`] with pruning off, the whole grid as one chunk
+/// fanned out across `jobs` worker threads (`0` = one per core), and
+/// every diagnostic retained. Each point is isolated — typed simulation
+/// errors *and* worker panics become one [`PointFailure`] each, and the
+/// other points still evaluate. Invalid or degenerate configurations are
+/// skipped. Points and diagnostics are in deterministic grid order, bit
+/// identical across `jobs` settings.
+///
+/// # Errors
+///
+/// [`SweepError::EmptySpace`] when any sweep axis is empty — an empty
+/// space is a caller bug (a misconfigured sweep silently producing zero
+/// points is indistinguishable from "every config was invalid").
+pub fn sweep_full_with(
+    sim: &Simulator,
+    network: &Network,
+    space: &SweepSpace,
+    opts: SimOptions,
+    energy_model: &EnergyModel,
+    jobs: usize,
+) -> Result<SweepOutcome, SweepError> {
+    let config = FrontierConfig {
+        jobs,
+        chunk: usize::MAX,
+        prune: false,
+        max_failures: usize::MAX,
+        ..FrontierConfig::default()
+    };
+    let cancel = CancelToken::never();
+    Engine::new(sim, network, space, opts, energy_model, &config, &cancel)?.collect_all()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dse::{pareto_designs, sweep_with, SweepSpace};
+    use crate::dse::{pareto_designs, SweepSpace};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tiny_network() -> Network {
@@ -582,15 +670,14 @@ mod tests {
     fn frontier_matches_batch_pareto_bit_for_bit() {
         let net = tiny_network();
         let space = small_space();
-        let batch = sweep_with(
-            &Simulator::new(),
-            &net,
-            &space,
-            SimOptions::default(),
-            &EnergyModel::default(),
-            0,
-        )
-        .expect("batch sweep runs");
+        // Independent reference: a serial, uncached map over the grid —
+        // no engine, no worker pool, no cache.
+        let sim = Simulator::uncached();
+        let (opts, em) = (SimOptions::default(), EnergyModel::default());
+        let batch: Vec<DesignPoint> = space
+            .grid()
+            .filter_map(|params| evaluate_point(&sim, &net, params, opts, &em).ok().flatten())
+            .collect();
         let expected = pareto_designs(&batch);
         for chunk in [1, 2, 3, 64] {
             for prune in [false, true] {
@@ -798,5 +885,101 @@ mod tests {
         if let Some(dir) = base.parent() {
             std::fs::remove_dir_all(dir).ok();
         }
+    }
+
+    #[test]
+    fn unpruned_whole_grid_chunk_is_one_leaf() {
+        // Without pruning the walk ignores buffer runs: a chunk covering
+        // the grid is a single leaf (one fan-out), observable as a single
+        // checkpoint even at a one-point checkpoint interval.
+        let base = temp_base("one-leaf");
+        let ckpt = CheckpointConfig { base: base.clone(), every_points: 1, keep: 2 };
+        let config = FrontierConfig {
+            chunk: usize::MAX,
+            checkpoint: Some(ckpt),
+            ..FrontierConfig::default()
+        };
+        let out = sweep_frontier_with(
+            &Simulator::new(),
+            &tiny_network(),
+            &small_space(),
+            SimOptions::default(),
+            &EnergyModel::default(),
+            &config,
+            &CancelToken::never(),
+            |_| {},
+        )
+        .expect("sweep runs");
+        assert_eq!(out.counters.checkpoints_written, 1);
+        if let Some(dir) = base.parent() {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn panicking_evaluator_degrades_to_one_point_failure() {
+        // A worker panic mid-sweep must neither hang the persistent pool
+        // nor abort the sweep: the poisoned point surfaces as one
+        // diagnostic and every other point still evaluates.
+        fn clean_space() -> SweepSpace {
+            SweepSpace {
+                array_sizes: vec![8, 16],
+                rf_depths: vec![16],
+                buffer_bytes: vec![64 * 1024, 128 * 1024],
+            }
+        }
+        #[allow(clippy::panic)]
+        fn poison_first(
+            sim: &Simulator,
+            network: &Network,
+            params: DesignParams,
+            opts: SimOptions,
+            energy_model: &EnergyModel,
+        ) -> Result<Option<DesignPoint>, SimError> {
+            if Some(params) == clean_space().point(0) {
+                panic!("injected worker poison");
+            }
+            evaluate_point(sim, network, params, opts, energy_model)
+        }
+        let net = tiny_network();
+        let space = clean_space();
+        let (opts, em) = (SimOptions::default(), EnergyModel::default());
+        let clean = sweep_full_with(&Simulator::new(), &net, &space, opts, &em, 1)
+            .expect("clean sweep runs");
+        assert_eq!((clean.points.len(), clean.failures.len()), (4, 0));
+        for jobs in [1, 2, 8] {
+            let sim = Simulator::new();
+            let cancel = CancelToken::never();
+            let config = FrontierConfig { jobs, chunk: usize::MAX, ..FrontierConfig::default() };
+            let mut engine = Engine::new(&sim, &net, &space, opts, &em, &config, &cancel)
+                .expect("space is non-empty");
+            engine.eval = poison_first;
+            let out = engine.collect_all().expect("sweep runs");
+            assert_eq!(out.failures.len(), 1, "jobs={jobs}");
+            let failure = &out.failures[0];
+            assert_eq!(Some(failure.params), space.point(0));
+            assert_eq!(failure.reason, "worker panicked: injected worker poison", "jobs={jobs}");
+            assert_eq!(out.points, clean.points[1..], "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn empty_space_is_rejected_before_any_event() {
+        let mut space = small_space();
+        space.rf_depths.clear();
+        let mut fired = 0usize;
+        let err = sweep_frontier_with(
+            &Simulator::new(),
+            &tiny_network(),
+            &space,
+            SimOptions::default(),
+            &EnergyModel::default(),
+            &FrontierConfig { chunk: 1, ..FrontierConfig::default() },
+            &CancelToken::never(),
+            |_| fired += 1,
+        )
+        .expect_err("empty space");
+        assert_eq!(err, SweepError::EmptySpace("rf-depth"));
+        assert_eq!(fired, 0, "no events before validation");
     }
 }

@@ -50,7 +50,6 @@ pub mod functional;
 pub mod multicore;
 pub mod nlr;
 pub mod os;
-pub mod parallel;
 pub mod perf;
 pub mod program;
 pub mod rs;
@@ -97,7 +96,9 @@ pub use multicore::{
 };
 pub use nlr::simulate_nlr;
 pub use os::{simulate_os, OsModelOptions, SparsityModel};
-pub use parallel::{
+// The worker pool lives in `codesign-parallel` (shared with the tensor
+// crate); its maps are re-exported so sweeps need no extra dependency.
+pub use codesign_parallel::{
     max_jobs, par_map, par_map_catch, par_map_catch_range, par_map_range, pool_size, resolve_jobs,
     MAX_POOL_WORKERS,
 };

@@ -5,15 +5,24 @@
 //! sweep that recomputes everything.
 
 use codesign::arch::EnergyModel;
-use codesign::core::{sweep_with, SweepSpace};
-use codesign::dnn::zoo;
+use codesign::core::{sweep_full_with, DesignPoint, SweepSpace};
+use codesign::dnn::{zoo, Network};
 use codesign::sim::{SimOptions, Simulator};
 use codesign::trace::Tracer;
 
-fn assert_bit_identical(
-    serial: &[codesign::core::DesignPoint],
-    parallel: &[codesign::core::DesignPoint],
-) {
+/// Every evaluated point of a collect-all sweep.
+fn sweep_points(
+    sim: &Simulator,
+    net: &Network,
+    space: &SweepSpace,
+    opts: SimOptions,
+    energy: &EnergyModel,
+    jobs: usize,
+) -> Vec<DesignPoint> {
+    sweep_full_with(sim, net, space, opts, energy, jobs).unwrap().points
+}
+
+fn assert_bit_identical(serial: &[DesignPoint], parallel: &[DesignPoint]) {
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(parallel) {
         assert_eq!(s.params, p.params, "grid order must be deterministic");
@@ -32,9 +41,9 @@ fn parallel_cached_sweep_is_bit_identical_to_serial_uncached() {
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
     for net in [zoo::squeezenet_v1_1(), zoo::squeezenext()] {
-        let serial = sweep_with(&Simulator::uncached(), &net, &space, opts, &energy, 1).unwrap();
+        let serial = sweep_points(&Simulator::uncached(), &net, &space, opts, &energy, 1);
         let sim = Simulator::new();
-        let parallel = sweep_with(&sim, &net, &space, opts, &energy, 8).unwrap();
+        let parallel = sweep_points(&sim, &net, &space, opts, &energy, 8);
         assert_bit_identical(&serial, &parallel);
         assert_eq!(serial.len(), space.len(), "paper grid is fully valid");
         // Traffic entries are shared across every sweep point with the
@@ -55,28 +64,26 @@ fn tracing_on_preserves_determinism() {
     let opts = SimOptions::paper_default();
     let energy = EnergyModel::default();
     let net = zoo::squeezenet_v1_1();
-    let untraced = sweep_with(&Simulator::uncached(), &net, &space, opts, &energy, 1).unwrap();
+    let untraced = sweep_points(&Simulator::uncached(), &net, &space, opts, &energy, 1);
 
     let serial_tracer = Tracer::enabled();
-    let serial = sweep_with(
+    let serial = sweep_points(
         &Simulator::new().with_tracer(serial_tracer.clone()),
         &net,
         &space,
         opts,
         &energy,
         1,
-    )
-    .unwrap();
+    );
     let parallel_tracer = Tracer::enabled();
-    let parallel = sweep_with(
+    let parallel = sweep_points(
         &Simulator::new().with_tracer(parallel_tracer.clone()),
         &net,
         &space,
         opts,
         &energy,
         8,
-    )
-    .unwrap();
+    );
     assert_bit_identical(&untraced, &serial);
     assert_bit_identical(&untraced, &parallel);
 
@@ -109,9 +116,9 @@ fn repeated_cached_sweeps_are_stable() {
     let energy = EnergyModel::default();
     let net = zoo::squeezenet_v1_1();
     let sim = Simulator::new();
-    let cold = sweep_with(&sim, &net, &space, opts, &energy, 4).unwrap();
+    let cold = sweep_points(&sim, &net, &space, opts, &energy, 4);
     let misses_after_cold = sim.stats().misses;
-    let warm = sweep_with(&sim, &net, &space, opts, &energy, 4).unwrap();
+    let warm = sweep_points(&sim, &net, &space, opts, &energy, 4);
     assert_bit_identical(&cold, &warm);
     assert_eq!(sim.stats().misses, misses_after_cold, "warm sweep must not re-simulate");
 }
